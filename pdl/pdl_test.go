@@ -125,6 +125,7 @@ func TestRegisterMethod(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { unregisterMethod("test-trivial") })
 	if err := RegisterMethod("test-trivial", func(v, k int, o *Options) (*layout.Layout, string, error) {
 		return nil, "", nil
 	}); err == nil {
@@ -146,6 +147,14 @@ func TestRegisterMethod(t *testing.T) {
 	if !found {
 		t.Errorf("Methods() missing registration: %v", Methods())
 	}
+}
+
+// unregisterMethod drops a test registration, so the registry tests can
+// run repeatedly in one process (go test -count N).
+func unregisterMethod(name string) {
+	registryMu.Lock()
+	defer registryMu.Unlock()
+	delete(registry, name)
 }
 
 func TestBuildStructuredErrors(t *testing.T) {
@@ -568,6 +577,7 @@ func TestThirdPartyMethodOwnsKDomain(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { unregisterMethod("test-wide") })
 	res, err := Build(8, 16, WithMethod("test-wide"))
 	if err != nil {
 		t.Fatalf("third-party k>v: %v", err)

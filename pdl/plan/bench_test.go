@@ -30,7 +30,7 @@ func BenchmarkPlanRead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pln.Read(i%n, -1, &p); err != nil {
+		if err := pln.ReadM(i%n, nil, &p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,10 +41,11 @@ func BenchmarkPlanRead(b *testing.B) {
 func BenchmarkPlanDegradedRead(b *testing.B) {
 	pln, n := benchPlanner(b)
 	var p plan.Plan
+	down := []int{0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pln.Read(i%n, 0, &p); err != nil {
+		if err := pln.ReadM(i%n, down, &p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +59,7 @@ func BenchmarkPlanSmallWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pln.Write(i%n, -1, &p); err != nil {
+		if err := pln.WriteM(i%n, nil, &p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,10 +71,11 @@ func BenchmarkPlanSmallWrite(b *testing.B) {
 func BenchmarkPlanDegradedSmallWrite(b *testing.B) {
 	pln, n := benchPlanner(b)
 	var p plan.Plan
+	down := []int{0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pln.Write(i%n, 0, &p); err != nil {
+		if err := pln.WriteM(i%n, down, &p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +89,7 @@ func BenchmarkPlanFullStripeWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pln.FullStripeWrite(i%n, -1, &p); err != nil {
+		if err := pln.FullStripeWriteM(i%n, nil, &p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -215,7 +215,6 @@ type Planner struct {
 	m    pdl.Mapper
 	buf  []layout.Unit
 	pbuf []layout.Unit
-	fbuf [1]int
 }
 
 // NewPlanner returns a plan compiler over a Mapper.
@@ -228,14 +227,6 @@ func NewPlanner(m pdl.Mapper) *Planner {
 
 // Mapper returns the Mapper plans are compiled against.
 func (p *Planner) Mapper() pdl.Mapper { return p.m }
-
-// checkFailed validates a failed-disk argument (-1 = healthy array).
-func (p *Planner) checkFailed(op string, failed int) error {
-	if failed < -1 || failed >= p.m.Disks() {
-		return fmt.Errorf("plan: %s: failed disk %d outside [-1,%d)", op, failed, p.m.Disks())
-	}
-	return nil
-}
 
 // checkFailedSet validates a failed-disk set: in-range, strictly
 // increasing (sorted, no duplicates). An empty or nil set is a healthy
@@ -252,16 +243,6 @@ func (p *Planner) checkFailedSet(op string, failed []int) error {
 		prev = f
 	}
 	return nil
-}
-
-// one adapts a single-failure argument (-1 = healthy) to a failed set,
-// reusing the planner's one-element buffer.
-func (p *Planner) one(failed int) []int {
-	if failed < 0 {
-		return nil
-	}
-	p.fbuf[0] = failed
-	return p.fbuf[:1]
 }
 
 // down reports whether a disk is in the (small) failed set.
@@ -293,23 +274,13 @@ func (p *Planner) setStripeMeta(dst *Plan, units []layout.Unit, failed []int) {
 	}
 }
 
-// Read compiles a one-unit read of a logical address into dst. With
-// failed >= 0 and the address's home unit on that disk, the plan becomes
-// a DegradedRead over the stripe's survivor set.
-func (p *Planner) Read(logical, failed int, dst *Plan) error {
-	if err := p.checkFailed("Read", failed); err != nil {
-		return err
-	}
-	return p.ReadM(logical, p.one(failed), dst)
-}
-
-// ReadM is Read against a set of simultaneously failed disks (sorted,
-// distinct; nil or empty = healthy). When the home unit survives, the
-// plan is a plain Read regardless of other failures; when it is lost,
-// the DegradedRead lists every surviving unit of the stripe — the
-// executor weighs them with the erasure code's reconstruction
-// coefficients (skipping zero-weight units), using the plan's
-// TargetShard, DataShards and Missing metadata.
+// ReadM compiles a one-unit read of a logical address into dst, against
+// a set of simultaneously failed disks (sorted, distinct; nil or empty =
+// healthy). When the home unit survives, the plan is a plain Read
+// regardless of other failures; when it is lost, the DegradedRead lists
+// every surviving unit of the stripe — the executor weighs them with the
+// erasure code's reconstruction coefficients (skipping zero-weight
+// units), using the plan's TargetShard, DataShards and Missing metadata.
 func (p *Planner) ReadM(logical int, failed []int, dst *Plan) error {
 	if err := p.checkFailedSet("Read", failed); err != nil {
 		return err
@@ -342,19 +313,9 @@ func (p *Planner) ReadM(logical int, failed []int, dst *Plan) error {
 	return nil
 }
 
-// Write compiles a small write of a logical address into dst: the
-// read-modify-write of data and parity, or its degraded variants
-// (ReconstructWrite when the data disk is down, DataOnlyWrite when the
-// parity disk is down).
-func (p *Planner) Write(logical, failed int, dst *Plan) error {
-	if err := p.checkFailed("Write", failed); err != nil {
-		return err
-	}
-	return p.WriteM(logical, p.one(failed), dst)
-}
-
-// WriteM is Write against a set of simultaneously failed disks (sorted,
-// distinct). The compiled kind depends on which of the stripe's units
+// WriteM compiles a small write of a logical address into dst, against
+// a set of simultaneously failed disks (sorted, distinct; nil or empty =
+// healthy). The compiled kind depends on which of the stripe's units
 // survive:
 //
 //   - home alive, at least one parity alive: SmallWrite reading and
@@ -454,18 +415,10 @@ func (p *Planner) WriteM(logical int, failed []int, dst *Plan) error {
 	return nil
 }
 
-// FullStripeWrite compiles a large write covering every data unit of the
-// stripe holding logical (Condition 5): the stripe's units are written
-// with no pre-reads, skipping the failed disk when one is down.
-func (p *Planner) FullStripeWrite(logical, failed int, dst *Plan) error {
-	if err := p.checkFailed("FullStripeWrite", failed); err != nil {
-		return err
-	}
-	return p.FullStripeWriteM(logical, p.one(failed), dst)
-}
-
-// FullStripeWriteM is FullStripeWrite against a set of simultaneously
-// failed disks (sorted, distinct): units on failed disks are skipped.
+// FullStripeWriteM compiles a large write covering every data unit of
+// the stripe holding logical (Condition 5): the stripe's units are
+// written with no pre-reads, skipping those on the failed disks (sorted,
+// distinct; nil or empty = healthy).
 func (p *Planner) FullStripeWriteM(logical int, failed []int, dst *Plan) error {
 	if err := p.checkFailedSet("FullStripeWrite", failed); err != nil {
 		return err
@@ -491,23 +444,15 @@ func (p *Planner) FullStripeWriteM(logical int, failed []int, dst *Plan) error {
 	return nil
 }
 
-// Rebuild compiles the full reconstruction schedule for a failed disk:
-// one RebuildStripe plan per stripe crossing it, in disk-scan order, plus
-// the per-disk read counts the schedule induces — the reconstruction-
-// workload balance the paper's Condition 3 governs.
-func (p *Planner) Rebuild(failed int) (*Rebuild, error) {
-	if failed < 0 || failed >= p.m.Disks() {
-		return nil, fmt.Errorf("plan: Rebuild: failed disk %d outside [0,%d)", failed, p.m.Disks())
-	}
-	return p.RebuildM(failed, p.one(failed))
-}
-
 // RebuildM compiles the reconstruction schedule for one disk of a failed
 // set: target names the disk being rebuilt, failed the complete sorted
-// set of down disks (which must contain target). Steps read only
-// surviving units; the executor weighs them with the erasure code's
-// reconstruction coefficients, so with extra parity in the stripe some
-// reads carry zero weight and are skipped at execution time.
+// set of down disks (which must contain target). The schedule holds one
+// RebuildStripe plan per stripe crossing target, in disk-scan order,
+// plus the per-disk read counts it induces — the reconstruction-workload
+// balance the paper's Condition 3 governs. Steps read only surviving
+// units; the executor weighs them with the erasure code's reconstruction
+// coefficients, so with extra parity in the stripe some reads carry zero
+// weight and are skipped at execution time.
 func (p *Planner) RebuildM(target int, failed []int) (*Rebuild, error) {
 	if err := p.checkFailedSet("Rebuild", failed); err != nil {
 		return nil, err

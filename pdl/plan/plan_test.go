@@ -79,7 +79,7 @@ func checkDegradedReads(t *testing.T, l *layout.Layout) {
 			t.Fatal(err)
 		}
 		failed := home.Disk
-		if err := pln.Read(logical, failed, &p); err != nil {
+		if err := pln.ReadM(logical, []int{failed}, &p); err != nil {
 			t.Fatal(err)
 		}
 		if p.Kind != plan.DegradedRead {
@@ -123,7 +123,7 @@ func checkDegradedReads(t *testing.T, l *layout.Layout) {
 		}
 		// A non-home failure must compile to a plain one-unit read.
 		other := (failed + 1) % l.V
-		if err := pln.Read(logical, other, &p); err != nil {
+		if err := pln.ReadM(logical, []int{other}, &p); err != nil {
 			t.Fatal(err)
 		}
 		if p.Kind != plan.Read || len(p.Steps) != 1 || p.Steps[0].Unit != home {
@@ -153,7 +153,7 @@ func TestDegradedReadMatchesMapperWithCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pln.Read(logical, home.Disk, &p); err != nil {
+		if err := pln.ReadM(logical, []int{home.Disk}, &p); err != nil {
 			t.Fatal(err)
 		}
 		dr, err := m.DegradedMap(logical, home.Disk)
@@ -188,7 +188,7 @@ func TestSmallWritePlanShape(t *testing.T) {
 	}
 	pln := plan.NewPlanner(m)
 	var p plan.Plan
-	if err := pln.Write(0, -1, &p); err != nil {
+	if err := pln.WriteM(0, nil, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Kind != plan.SmallWrite || p.Reads() != 2 || p.Writes() != 2 || p.Stages() != 2 {
@@ -242,7 +242,7 @@ func TestWriteDegradedVariants(t *testing.T) {
 	}
 
 	var p plan.Plan
-	if err := pln.Write(0, home.Disk, &p); err != nil {
+	if err := pln.WriteM(0, []int{home.Disk}, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Kind != plan.ReconstructWrite {
@@ -260,7 +260,7 @@ func TestWriteDegradedVariants(t *testing.T) {
 		t.Errorf("reconstruct-write stripe %d target %v, want %d, lost home %v", p.Stripe, p.Target, stripe, home)
 	}
 
-	if err := pln.Write(0, parity.Disk, &p); err != nil {
+	if err := pln.WriteM(0, []int{parity.Disk}, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Kind != plan.DataOnlyWrite || len(p.Steps) != 1 || !p.Steps[0].Write || p.Steps[0].Unit != home {
@@ -284,14 +284,14 @@ func TestFullStripeWriteSkipsFailed(t *testing.T) {
 	}
 	pln := plan.NewPlanner(m)
 	var p plan.Plan
-	if err := pln.FullStripeWrite(0, -1, &p); err != nil {
+	if err := pln.FullStripeWriteM(0, nil, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Kind != plan.FullStripeWrite || p.Reads() != 0 || p.Writes() != 3 {
 		t.Fatalf("healthy full stripe: kind %v reads %d writes %d", p.Kind, p.Reads(), p.Writes())
 	}
 	failed := p.Steps[0].Disk
-	if err := pln.FullStripeWrite(0, failed, &p); err != nil {
+	if err := pln.FullStripeWriteM(0, []int{failed}, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Writes() != 2 {
@@ -317,7 +317,7 @@ func TestRebuildBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := plan.NewPlanner(m).Rebuild(4)
+	rb, err := plan.NewPlanner(m).RebuildM(4, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,12 +352,13 @@ func TestRebuildBalance(t *testing.T) {
 	if total != sum {
 		t.Errorf("schedule step count %d != per-disk read sum %d", total, sum)
 	}
-	if _, err := plan.NewPlanner(m).Rebuild(9); err == nil {
+	if _, err := plan.NewPlanner(m).RebuildM(9, []int{9}); err == nil {
 		t.Error("out-of-range failed disk accepted")
 	}
 }
 
-// TestPlannerValidatesFailed pins the failed-disk domain [-1, disks).
+// TestPlannerValidatesFailed pins the failed-set domain: disks in
+// [0, disks), sorted and distinct.
 func TestPlannerValidatesFailed(t *testing.T) {
 	res, err := pdl.Build(9, 3)
 	if err != nil {
@@ -369,18 +370,18 @@ func TestPlannerValidatesFailed(t *testing.T) {
 	}
 	pln := plan.NewPlanner(m)
 	var p plan.Plan
-	for _, failed := range []int{-2, 9} {
-		if err := pln.Read(0, failed, &p); err == nil {
-			t.Errorf("Read accepted failed=%d", failed)
+	for _, failed := range [][]int{{-1}, {9}, {3, 3}, {4, 2}} {
+		if err := pln.ReadM(0, failed, &p); err == nil {
+			t.Errorf("ReadM accepted failed=%v", failed)
 		}
-		if err := pln.Write(0, failed, &p); err == nil {
-			t.Errorf("Write accepted failed=%d", failed)
+		if err := pln.WriteM(0, failed, &p); err == nil {
+			t.Errorf("WriteM accepted failed=%v", failed)
 		}
-		if err := pln.FullStripeWrite(0, failed, &p); err == nil {
-			t.Errorf("FullStripeWrite accepted failed=%d", failed)
+		if err := pln.FullStripeWriteM(0, failed, &p); err == nil {
+			t.Errorf("FullStripeWriteM accepted failed=%v", failed)
 		}
 	}
-	if err := pln.Read(-1, -1, &p); err == nil {
+	if err := pln.ReadM(-1, nil, &p); err == nil {
 		t.Error("negative logical accepted")
 	}
 }

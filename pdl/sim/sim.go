@@ -73,6 +73,8 @@ type Array struct {
 	Stats []DiskStats
 	// Failed marks a failed disk (-1 = healthy array).
 	Failed int
+	// fbuf backs the one-disk failed set plans compile against.
+	fbuf [1]int
 }
 
 // New builds a simulator for a layout with assigned parity.
@@ -126,6 +128,16 @@ func (a *Array) Fail(disk int) error {
 	}
 	a.Failed = disk
 	return nil
+}
+
+// failedSet returns Failed as the failed-disk set the planner takes (nil
+// when healthy).
+func (a *Array) failedSet() []int {
+	if a.Failed < 0 {
+		return nil
+	}
+	a.fbuf[0] = a.Failed
+	return a.fbuf[:1]
 }
 
 // Issue schedules one unit operation at a specific offset of a disk at
@@ -189,7 +201,7 @@ func (a *Array) DataUnits() int { return a.Mapping.DataUnits() * a.cfg.Copies }
 // failed disk): read every surviving unit of the stripe (XOR
 // reconstruction on the fly).
 func (a *Array) ReadLogical(logical int, t int64) (int64, error) {
-	if err := a.pln.Read(logical, a.Failed, &a.scratch); err != nil {
+	if err := a.pln.ReadM(logical, a.failedSet(), &a.scratch); err != nil {
 		return 0, err
 	}
 	return a.Execute(&a.scratch, t), nil
@@ -204,7 +216,7 @@ func (a *Array) ReadLogical(logical int, t int64) (int64, error) {
 //
 // Returns the completion time.
 func (a *Array) WriteLogical(logical int, t int64) (int64, error) {
-	if err := a.pln.Write(logical, a.Failed, &a.scratch); err != nil {
+	if err := a.pln.WriteM(logical, a.failedSet(), &a.scratch); err != nil {
 		return 0, err
 	}
 	return a.Execute(&a.scratch, t), nil
@@ -216,7 +228,7 @@ func (a *Array) WriteLogical(logical int, t int64) (int64, error) {
 // written with NO pre-reads — k writes vs 4 ops per unit for small
 // writes. Returns the completion time.
 func (a *Array) WriteFullStripe(logical int, t int64) (int64, error) {
-	if err := a.pln.FullStripeWrite(logical, a.Failed, &a.scratch); err != nil {
+	if err := a.pln.FullStripeWriteM(logical, a.failedSet(), &a.scratch); err != nil {
 		return 0, err
 	}
 	return a.Execute(&a.scratch, t), nil
@@ -240,7 +252,7 @@ type RebuildResult struct {
 // units (writes to the replacement disk are not modeled — the paper's
 // metric is survivor read load).
 func (a *Array) RebuildOffline(failed int, start int64) (RebuildResult, error) {
-	rb, err := a.pln.Rebuild(failed)
+	rb, err := a.pln.RebuildM(failed, []int{failed})
 	if err != nil {
 		return RebuildResult{}, fmt.Errorf("sim: RebuildOffline: %w", err)
 	}
@@ -326,7 +338,7 @@ func (a *Array) RebuildOnline(gen Generator, nOps int, interArrival int64, faile
 	if err := a.Fail(failed); err != nil {
 		return WorkloadResult{}, RebuildResult{}, err
 	}
-	rb, err := a.pln.Rebuild(failed)
+	rb, err := a.pln.RebuildM(failed, []int{failed})
 	if err != nil {
 		return WorkloadResult{}, RebuildResult{}, fmt.Errorf("sim: RebuildOnline: %w", err)
 	}

@@ -28,7 +28,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 			"Bytes moved by physical writes to the disk.",
 			c.writeBytes.Load, lbl)
 		r.CounterFunc("pdl_store_disk_degraded_total",
-			"Physical operations issued to the disk on behalf of degraded-mode work (survivor XOR reads, rebuild traffic).",
+			"Physical operations issued to the disk on behalf of degraded-mode work (survivor reads, degraded writes, rebuild traffic). During a rebuild, stripes already copied are served through the replacement as a live disk, so their foreground I/O is not degraded.",
 			c.degraded.Load, lbl)
 	}
 	r.GaugeFunc("pdl_store_failed_disk",

@@ -153,8 +153,8 @@ func TestStoreTwoFailureMatchesDataModel(t *testing.T) {
 // down while a writer keeps mutating it in lockstep with a never-failed
 // control store: after both rebuilds the subject must match the control
 // byte-for-byte, including both replacement disks' raw contents. This
-// exercises the degraded write paths and the rebuilt-stripe patching
-// that keeps the replacement current under foreground traffic.
+// exercises the degraded write paths and the writes that keep copied
+// stripes current on the replacement under foreground traffic.
 func TestTwoFailureRebuildUnderLoad(t *testing.T) {
 	const (
 		unitSize = 48

@@ -5,12 +5,18 @@
 // writes, and an online Rebuild that streams survivor reconstruction
 // onto a replacement disk while foreground traffic continues.
 //
-// Redundancy is pluggable (repro/pdl/code): single-parity layouts run
-// the classic XOR arithmetic, byte-identical to what this engine always
-// did, while layouts carrying m parity units per stripe run an
-// m-failure-tolerant Reed–Solomon code — the store then serves degraded
-// reads and writes, and rebuilds online, with up to m disks down at
-// once.
+// Redundancy is pluggable (repro/pdl/code) and one write executor
+// serves every code: parity j absorbs Coef(j, i)-weighted contributions,
+// so single-parity layouts run XOR as the m = 1 case (every coefficient
+// 1, parity bytes identical to the classic XOR arithmetic), while layouts
+// carrying m parity units per stripe run an m-failure-tolerant
+// Reed–Solomon code — the store then serves degraded reads and writes,
+// and rebuilds online, with up to m disks down at once.
+//
+// During an online Rebuild a stripe counts the disk being rebuilt as
+// failed until its unit has been copied onto the replacement; copied
+// stripes are served through the replacement as a live disk, so
+// foreground writes keep them current with their ordinary plans.
 //
 // The engine is built for concurrency: plan compilation state lives in a
 // sync.Pool of per-request scratch (a plan.Planner, a reusable Plan, and
@@ -185,9 +191,10 @@ type Store struct {
 	minSpan int
 
 	// locks are the striped per-stripe RW locks: stripe s is guarded by
-	// locks[s&lockMask]. fails, disks, rebuildDst, rebuildDisk, and
-	// rebuilt change only while holding every lock, so holding any one of
-	// them (even shared) gives a consistent view of all of them.
+	// locks[s&lockMask]. fails, disks, rebuildDst, rebuildDisk,
+	// copiedFails, and the clearing of rebuilt change only while holding
+	// every lock, so holding any one of them (even shared) gives a
+	// consistent view of all of them.
 	locks    []sync.RWMutex
 	lockMask int
 
@@ -206,9 +213,13 @@ type Store struct {
 	// rebuildDisk is the disk the in-progress Rebuild reconstructs (the
 	// lowest failed disk at rebuild start), -1 otherwise.
 	rebuildDisk int
+	// copiedFails is fails without rebuildDisk: the failed set of a
+	// stripe the in-progress Rebuild has already copied (see failsFor).
+	copiedFails *failSet
 	// rebuilt[s] records that stripe s has been copied onto rebuildDst;
-	// it is read and written only under stripe s's lock, so degraded
-	// writes keep already-rebuilt stripes current on the replacement.
+	// it is set only under stripe s's lock. A copied stripe is served
+	// through the replacement as a live disk (failsFor, backend), so
+	// foreground writes keep it current with their ordinary plans.
 	rebuilt []bool
 
 	counters []diskCounters
@@ -449,6 +460,48 @@ func (s *Store) byteOff(u layout.Unit, within int) int64 {
 	return int64(u.Offset)*int64(s.unitSize) + int64(within)
 }
 
+// failsFor returns the failed set the stripe's plans compile against:
+// the disk an in-progress Rebuild reconstructs counts as failed until
+// the stripe has been copied onto the replacement, and as live (served
+// by the replacement; see backend) afterwards. The caller holds the
+// stripe's lock.
+func (s *Store) failsFor(stripe int) *failSet {
+	if s.rebuilt[stripe] {
+		return s.copiedFails
+	}
+	return s.fails.Load()
+}
+
+// backend returns the Backend holding the stripe's unit on disk: the
+// replacement when disk is being rebuilt and the stripe has been copied,
+// the disk's own backend otherwise. The caller holds the stripe's lock.
+func (s *Store) backend(stripe, disk int) Backend {
+	if disk == s.rebuildDisk && s.rebuilt[stripe] {
+		return s.rebuildDst
+	}
+	return s.disks[disk]
+}
+
+// diskRead fills buf from bytes [within, within+len(buf)) of the
+// stripe's unit u and counts the I/O. The caller holds the stripe's lock.
+func (s *Store) diskRead(stripe int, u layout.Unit, within int, buf []byte, degraded bool) error {
+	if _, err := s.backend(stripe, u.Disk).ReadAt(buf, s.byteOff(u, within)); err != nil {
+		return fmt.Errorf("store: read disk %d: %w", u.Disk, err)
+	}
+	s.noteIO(u.Disk, false, degraded, len(buf))
+	return nil
+}
+
+// diskWrite stores buf at bytes [within, within+len(buf)) of the stripe's
+// unit u and counts the I/O. The caller holds the stripe's write lock.
+func (s *Store) diskWrite(stripe int, u layout.Unit, within int, buf []byte, degraded bool) error {
+	if _, err := s.backend(stripe, u.Disk).WriteAt(buf, s.byteOff(u, within)); err != nil {
+		return fmt.Errorf("store: write disk %d: %w", u.Disk, err)
+	}
+	s.noteIO(u.Disk, true, degraded, len(buf))
+	return nil
+}
+
 // Fail marks a disk failed: reads of its units go degraded (survivor
 // reconstruction), writes switch to their degraded plans. The store
 // tolerates up to Code().ParityShards() simultaneous failures — one for
@@ -582,9 +635,9 @@ func (s *Store) WriteAt(p []byte, off int64) (int, error) {
 
 // readUnit serves bytes [within, within+len(p)) of one logical unit. The
 // plan is compiled against a pre-lock snapshot of the failed-disk set
-// and revalidated once the stripe lock is held (the stripe itself never
-// depends on the failure state), so the hot path resolves the stripe
-// tables exactly once.
+// and revalidated against failsFor once the stripe lock is held (the
+// stripe itself never depends on the failure state), so the hot path
+// resolves the stripe tables exactly once.
 func (s *Store) readUnit(sc *scratch, logical, within int, p []byte) error {
 	fs := s.fails.Load()
 	if err := sc.pln.ReadM(logical, fs.disks, &sc.p); err != nil {
@@ -593,7 +646,7 @@ func (s *Store) readUnit(sc *scratch, logical, within int, p []byte) error {
 	lk := s.lockFor(sc.p.Stripe)
 	lk.RLock()
 	defer lk.RUnlock()
-	if cur := s.fails.Load(); cur != fs {
+	if cur := s.failsFor(sc.p.Stripe); cur != fs {
 		if err := sc.pln.ReadM(logical, cur.disks, &sc.p); err != nil {
 			return err
 		}
@@ -603,16 +656,11 @@ func (s *Store) readUnit(sc *scratch, logical, within int, p []byte) error {
 
 // execReadLocked executes the compiled read plan in sc.p against bytes
 // [within, within+len(p)) of each unit. The caller holds the stripe's
-// lock (shared suffices) and has compiled sc.p under the current failure
-// state.
+// lock (shared suffices) and has compiled sc.p against failsFor.
 func (s *Store) execReadLocked(sc *scratch, within int, p []byte) error {
+	stripe := sc.p.Stripe
 	if sc.p.Kind == plan.Read {
-		u := sc.p.Steps[0].Unit
-		if _, err := s.disks[u.Disk].ReadAt(p, s.byteOff(u, within)); err != nil {
-			return fmt.Errorf("store: read disk %d: %w", u.Disk, err)
-		}
-		s.noteIO(u.Disk, false, false, len(p))
-		return nil
+		return s.diskRead(stripe, sc.p.Steps[0].Unit, within, p, false)
 	}
 	// Degraded: combine the survivor ranges with the code's
 	// reconstruction coefficients (all ones under XOR), skipping
@@ -628,11 +676,10 @@ func (s *Store) execReadLocked(sc *scratch, within int, p []byte) error {
 		if w == 0 {
 			continue
 		}
-		if _, err := s.disks[st.Disk].ReadAt(a, s.byteOff(st.Unit, within)); err != nil {
-			return fmt.Errorf("store: degraded read disk %d: %w", st.Disk, err)
+		if err := s.diskRead(stripe, st.Unit, within, a, true); err != nil {
+			return err
 		}
 		code.MulAdd(p, a, w)
-		s.noteIO(st.Disk, false, true, len(a))
 	}
 	return nil
 }
@@ -648,7 +695,7 @@ func (s *Store) writeUnit(sc *scratch, logical, within int, p []byte) error {
 	lk := s.lockFor(sc.p.Stripe)
 	lk.Lock()
 	defer lk.Unlock()
-	if cur := s.fails.Load(); cur != fs {
+	if cur := s.failsFor(sc.p.Stripe); cur != fs {
 		if err := sc.pln.WriteM(logical, cur.disks, &sc.p); err != nil {
 			return err
 		}
@@ -658,329 +705,103 @@ func (s *Store) writeUnit(sc *scratch, logical, within int, p []byte) error {
 
 // execWriteLocked executes the compiled write plan in sc.p against bytes
 // [within, within+len(p)) of the addressed unit, updating parity. The
-// caller holds the stripe's write lock and has compiled sc.p under the
-// current failure state. Single-parity arrays take the classic XOR
-// paths, byte-for-byte and I/O-for-I/O what this engine always issued;
-// multi-parity arrays run the generalized coefficient arithmetic.
+// caller holds the stripe's write lock and has compiled sc.p against
+// failsFor. Parity j absorbs Coef(j, i)-weighted contributions; under
+// XOR (m = 1, every coefficient 1) that is the classic XOR arithmetic.
 func (s *Store) execWriteLocked(sc *scratch, within int, p []byte) error {
-	if s.pm == 1 {
-		return s.execWriteXOR(sc, within, p)
-	}
-	return s.execWriteMulti(sc, within, p)
-}
-
-// execWriteXOR is the classic single-parity write executor.
-func (s *Store) execWriteXOR(sc *scratch, within int, p []byte) error {
-	stripe := sc.p.Stripe
+	stripe, k, n := sc.p.Stripe, sc.p.DataShards, len(p)
+	degraded := sc.p.Kind != plan.SmallWrite
+	// a ends up holding the delta old home ^ payload that SmallWrite and
+	// DegradedWrite fold into every surviving parity unit.
+	a := sc.a[:n]
+	homeShard := sc.p.TargetShard
 	switch sc.p.Kind {
 	case plan.SmallWrite:
-		// Figure 1 read-modify-write: parity ^= old data ^ new data. The
-		// stage 0 steps carry the Parity mark telling the payloads apart.
-		data, parity := sc.p.Steps[0].Unit, sc.p.Steps[1].Unit
-		if sc.p.Steps[0].Parity {
-			data, parity = parity, data
+		// Read-modify-write: every surviving parity unit absorbs the
+		// home's weighted delta (its old value is read below).
+		home := sc.p.Steps[0].Unit
+		homeShard = s.mapper.ShardAt(home)
+		if err := s.diskRead(stripe, home, within, a, false); err != nil {
+			return err
 		}
-		a, b := sc.a[:len(p)], sc.b[:len(p)]
-		if _, err := s.disks[data.Disk].ReadAt(a, s.byteOff(data, within)); err != nil {
-			return fmt.Errorf("store: small write read disk %d: %w", data.Disk, err)
+		subtle.XORBytes(a, a, p)
+		if err := s.diskWrite(stripe, home, within, p, false); err != nil {
+			return err
 		}
-		if _, err := s.disks[parity.Disk].ReadAt(b, s.byteOff(parity, within)); err != nil {
-			return fmt.Errorf("store: small write read disk %d: %w", parity.Disk, err)
-		}
-		s.noteIO(data.Disk, false, false, len(a))
-		s.noteIO(parity.Disk, false, false, len(b))
-		subtle.XORBytes(b, b, a)
-		subtle.XORBytes(b, b, p)
-		if _, err := s.disks[data.Disk].WriteAt(p, s.byteOff(data, within)); err != nil {
-			return fmt.Errorf("store: small write disk %d: %w", data.Disk, err)
-		}
-		if _, err := s.disks[parity.Disk].WriteAt(b, s.byteOff(parity, within)); err != nil {
-			return fmt.Errorf("store: small write disk %d: %w", parity.Disk, err)
-		}
-		s.noteIO(data.Disk, true, false, len(p))
-		s.noteIO(parity.Disk, true, false, len(b))
-		return nil
-
-	case plan.ReconstructWrite:
-		// Data disk down: new parity range = payload ^ surviving data.
-		b := sc.b[:len(p)]
-		copy(b, p)
-		a := sc.a[:len(p)]
-		var parity layout.Unit
-		for _, st := range sc.p.Steps {
-			if st.Parity {
-				parity = st.Unit
-				continue
-			}
-			if _, err := s.disks[st.Disk].ReadAt(a, s.byteOff(st.Unit, within)); err != nil {
-				return fmt.Errorf("store: reconstruct write read disk %d: %w", st.Disk, err)
-			}
-			subtle.XORBytes(b, b, a)
-			s.noteIO(st.Disk, false, true, len(a))
-		}
-		if _, err := s.disks[parity.Disk].WriteAt(b, s.byteOff(parity, within)); err != nil {
-			return fmt.Errorf("store: reconstruct write disk %d: %w", parity.Disk, err)
-		}
-		s.noteIO(parity.Disk, true, true, len(b))
-		// The lost unit's new content is the payload itself; keep an
-		// already-rebuilt stripe current on the replacement.
-		if s.rebuildDst != nil && s.rebuilt[stripe] {
-			if _, err := s.rebuildDst.WriteAt(p, s.byteOff(sc.p.Target, within)); err != nil {
-				return fmt.Errorf("store: reconstruct write replacement: %w", err)
-			}
-			s.noteIO(sc.p.Target.Disk, true, true, len(p))
-		}
-		return nil
 
 	case plan.DataOnlyWrite:
-		// Parity disk down: write the data unit; if the stripe is already
-		// rebuilt, patch the replacement's parity (parity ^= old ^ new).
-		data := sc.p.Steps[0].Unit
-		patch := s.rebuildDst != nil && s.rebuilt[stripe]
-		a := sc.a[:len(p)]
-		if patch {
-			if _, err := s.disks[data.Disk].ReadAt(a, s.byteOff(data, within)); err != nil {
-				return fmt.Errorf("store: data-only write read disk %d: %w", data.Disk, err)
-			}
-			s.noteIO(data.Disk, false, true, len(a))
-		}
-		if _, err := s.disks[data.Disk].WriteAt(p, s.byteOff(data, within)); err != nil {
-			return fmt.Errorf("store: data-only write disk %d: %w", data.Disk, err)
-		}
-		s.noteIO(data.Disk, true, true, len(p))
-		if patch {
-			b := sc.b[:len(p)]
-			off := s.byteOff(sc.p.Target, within)
-			if _, err := s.rebuildDst.ReadAt(b, off); err != nil {
-				return fmt.Errorf("store: data-only write replacement read: %w", err)
-			}
-			subtle.XORBytes(b, b, a)
-			subtle.XORBytes(b, b, p)
-			if _, err := s.rebuildDst.WriteAt(b, off); err != nil {
-				return fmt.Errorf("store: data-only write replacement: %w", err)
-			}
-			s.noteIO(sc.p.Target.Disk, true, true, len(b))
-		}
-		return nil
-
-	default:
-		return fmt.Errorf("store: writeUnit: unexpected plan kind %v", sc.p.Kind)
-	}
-}
-
-// replacementUnit resolves the current stripe's unit on the disk being
-// rebuilt, when an already-rebuilt stripe must be kept current on the
-// replacement. ok is false when no rebuild is running, the stripe has
-// not been rebuilt yet, or the stripe does not cross the rebuild disk.
-// The caller holds the stripe's write lock.
-func (s *Store) replacementUnit(sc *scratch, stripe int) (u layout.Unit, shard int, ok bool) {
-	if s.rebuildDst == nil || !s.rebuilt[stripe] {
-		return layout.Unit{}, 0, false
-	}
-	units, err := s.mapper.AppendStripeUnits(sc.units[:0], stripe)
-	sc.units = units[:0]
-	if err != nil {
-		return layout.Unit{}, 0, false
-	}
-	for _, su := range units {
-		if su.Disk == s.rebuildDisk {
-			return su, s.mapper.ShardAt(su), true
-		}
-	}
-	return layout.Unit{}, 0, false
-}
-
-// execWriteMulti is the multi-parity write executor: the same plans, but
-// parity j absorbs Coef(j, i)-weighted deltas and any subset of the
-// stripe's units may be lost (up to m).
-func (s *Store) execWriteMulti(sc *scratch, within int, p []byte) error {
-	stripe := sc.p.Stripe
-	k := sc.p.DataShards
-	a, b := sc.a[:len(p)], sc.b[:len(p)]
-	switch sc.p.Kind {
-	case plan.SmallWrite:
-		// Read-modify-write against every surviving parity unit: each
-		// absorbs its coefficient-weighted delta.
-		home := sc.p.Steps[0].Unit
-		homeShard := s.mapper.ShardAt(home)
-		if _, err := s.disks[home.Disk].ReadAt(a, s.byteOff(home, within)); err != nil {
-			return fmt.Errorf("store: small write read disk %d: %w", home.Disk, err)
-		}
-		s.noteIO(home.Disk, false, false, len(a))
-		subtle.XORBytes(a, a, p) // a = delta
-		if _, err := s.disks[home.Disk].WriteAt(p, s.byteOff(home, within)); err != nil {
-			return fmt.Errorf("store: small write disk %d: %w", home.Disk, err)
-		}
-		s.noteIO(home.Disk, true, false, len(p))
-		for _, st := range sc.p.Steps {
-			if !st.Write || !st.Parity {
-				continue
-			}
-			j := s.mapper.ShardAt(st.Unit) - k
-			if _, err := s.disks[st.Disk].ReadAt(b, s.byteOff(st.Unit, within)); err != nil {
-				return fmt.Errorf("store: small write read disk %d: %w", st.Disk, err)
-			}
-			s.noteIO(st.Disk, false, false, len(b))
-			s.codec.UpdateParity(j, homeShard, b, a)
-			if _, err := s.disks[st.Disk].WriteAt(b, s.byteOff(st.Unit, within)); err != nil {
-				return fmt.Errorf("store: small write disk %d: %w", st.Disk, err)
-			}
-			s.noteIO(st.Disk, true, false, len(b))
-		}
-		return s.patchReplacementDelta(sc, stripe, homeShard, a, within)
-
-	case plan.DataOnlyWrite:
-		// Every parity unit is down: write the data unit; keep a rebuilt
-		// stripe's replacement parity current via the delta.
-		home := sc.p.Steps[0].Unit
-		homeShard := s.mapper.ShardAt(home)
-		ru, rs, patch := s.replacementUnit(sc, stripe)
-		if patch && rs >= k {
-			if _, err := s.disks[home.Disk].ReadAt(a, s.byteOff(home, within)); err != nil {
-				return fmt.Errorf("store: data-only write read disk %d: %w", home.Disk, err)
-			}
-			s.noteIO(home.Disk, false, true, len(a))
-			subtle.XORBytes(a, a, p) // a = delta
-		}
-		if _, err := s.disks[home.Disk].WriteAt(p, s.byteOff(home, within)); err != nil {
-			return fmt.Errorf("store: data-only write disk %d: %w", home.Disk, err)
-		}
-		s.noteIO(home.Disk, true, true, len(p))
-		if patch && rs >= k {
-			off := s.byteOff(ru, within)
-			if _, err := s.rebuildDst.ReadAt(b, off); err != nil {
-				return fmt.Errorf("store: data-only write replacement read: %w", err)
-			}
-			s.codec.UpdateParity(rs-k, homeShard, b, a)
-			if _, err := s.rebuildDst.WriteAt(b, off); err != nil {
-				return fmt.Errorf("store: data-only write replacement: %w", err)
-			}
-			s.noteIO(ru.Disk, true, true, len(b))
-		}
-		return nil
+		// Every parity unit is down: only the data unit is written.
+		return s.diskWrite(stripe, sc.p.Steps[0].Unit, within, p, true)
 
 	case plan.ReconstructWrite:
 		// Home down, every other data unit alive: each surviving parity
 		// is recomputed from scratch — the payload's contribution plus
 		// the surviving data's.
-		homeShard := sc.p.TargetShard
 		for j := 0; j < s.pm; j++ {
-			pj := sc.par[j][:len(p)]
+			pj := sc.par[j][:n]
 			clear(pj)
 			code.MulAdd(pj, p, s.codec.Coef(j, homeShard))
 		}
 		for _, st := range sc.p.Steps {
 			if st.Write {
-				continue
+				break
 			}
-			if _, err := s.disks[st.Disk].ReadAt(a, s.byteOff(st.Unit, within)); err != nil {
-				return fmt.Errorf("store: reconstruct write read disk %d: %w", st.Disk, err)
+			if err := s.diskRead(stripe, st.Unit, within, a, true); err != nil {
+				return err
 			}
-			s.noteIO(st.Disk, false, true, len(a))
 			i := s.mapper.ShardAt(st.Unit)
 			for j := 0; j < s.pm; j++ {
-				code.MulAdd(sc.par[j][:len(p)], a, s.codec.Coef(j, i))
+				code.MulAdd(sc.par[j][:n], a, s.codec.Coef(j, i))
 			}
 		}
-		for _, st := range sc.p.Steps {
-			if !st.Write {
-				continue
-			}
-			j := s.mapper.ShardAt(st.Unit) - k
-			if _, err := s.disks[st.Disk].WriteAt(sc.par[j][:len(p)], s.byteOff(st.Unit, within)); err != nil {
-				return fmt.Errorf("store: reconstruct write disk %d: %w", st.Disk, err)
-			}
-			s.noteIO(st.Disk, true, true, len(p))
-		}
-		// Keep a rebuilt stripe current on the replacement: the home
-		// payload directly, or the from-scratch parity value.
-		if ru, rs, ok := s.replacementUnit(sc, stripe); ok {
-			switch {
-			case rs == homeShard:
-				if _, err := s.rebuildDst.WriteAt(p, s.byteOff(ru, within)); err != nil {
-					return fmt.Errorf("store: reconstruct write replacement: %w", err)
-				}
-				s.noteIO(ru.Disk, true, true, len(p))
-			case rs >= k:
-				if _, err := s.rebuildDst.WriteAt(sc.par[rs-k][:len(p)], s.byteOff(ru, within)); err != nil {
-					return fmt.Errorf("store: reconstruct write replacement: %w", err)
-				}
-				s.noteIO(ru.Disk, true, true, len(p))
-			}
-		}
-		return nil
 
 	case plan.DegradedWrite:
 		// Home down along with another data unit: reconstruct the old
-		// home payload from every survivor, then run the standard delta
-		// update against the surviving parity units (whose old values
-		// the same pass read).
-		homeShard := sc.p.TargetShard
+		// home payload from every survivor, keeping the surviving parity
+		// units' old values from the same pass.
 		coef := sc.coef[:k+s.pm]
 		if err := s.codec.PlanReconstruct(k, sc.p.Missing, homeShard, coef); err != nil {
 			return fmt.Errorf("store: degraded write: %w", err)
 		}
-		clear(b)
+		b := sc.b[:n]
+		clear(a)
 		for _, st := range sc.p.Steps {
 			if st.Write {
-				continue
+				break
 			}
-			if _, err := s.disks[st.Disk].ReadAt(a, s.byteOff(st.Unit, within)); err != nil {
-				return fmt.Errorf("store: degraded write read disk %d: %w", st.Disk, err)
+			if err := s.diskRead(stripe, st.Unit, within, b, true); err != nil {
+				return err
 			}
-			s.noteIO(st.Disk, false, true, len(a))
 			sh := s.mapper.ShardAt(st.Unit)
 			if sh >= k {
-				copy(sc.par[sh-k][:len(p)], a)
+				copy(sc.par[sh-k][:n], b)
 			}
-			if w := coef[sh]; w != 0 {
-				code.MulAdd(b, a, w)
-			}
+			code.MulAdd(a, b, coef[sh])
 		}
-		subtle.XORBytes(b, b, p) // b = old home ^ payload = delta
-		for _, st := range sc.p.Steps {
-			if !st.Write {
-				continue
-			}
-			j := s.mapper.ShardAt(st.Unit) - k
-			pj := sc.par[j][:len(p)]
-			s.codec.UpdateParity(j, homeShard, pj, b)
-			if _, err := s.disks[st.Disk].WriteAt(pj, s.byteOff(st.Unit, within)); err != nil {
-				return fmt.Errorf("store: degraded write disk %d: %w", st.Disk, err)
-			}
-			s.noteIO(st.Disk, true, true, len(pj))
-		}
-		return s.patchReplacementDelta(sc, stripe, homeShard, b, within)
+		subtle.XORBytes(a, a, p)
 
 	default:
 		return fmt.Errorf("store: writeUnit: unexpected plan kind %v", sc.p.Kind)
 	}
-}
-
-// patchReplacementDelta keeps an already-rebuilt stripe current on the
-// replacement after a delta-style write to data shard homeShard: a
-// parity unit on the rebuild disk absorbs the weighted delta; a data
-// unit other than the home is untouched by the write and needs nothing.
-// (The home unit itself cannot live on the rebuild disk here — callers
-// with a lost home patch it explicitly with the payload.)
-func (s *Store) patchReplacementDelta(sc *scratch, stripe, homeShard int, delta []byte, within int) error {
-	ru, rs, ok := s.replacementUnit(sc, stripe)
-	if !ok || rs < sc.p.DataShards {
-		return nil
+	for _, st := range sc.p.Steps {
+		if !st.Write || !st.Parity {
+			continue
+		}
+		j := s.mapper.ShardAt(st.Unit) - k
+		pj := sc.par[j][:n]
+		switch sc.p.Kind {
+		case plan.SmallWrite:
+			if err := s.diskRead(stripe, st.Unit, within, pj, false); err != nil {
+				return err
+			}
+			s.codec.UpdateParity(j, homeShard, pj, a)
+		case plan.DegradedWrite:
+			s.codec.UpdateParity(j, homeShard, pj, a)
+		}
+		if err := s.diskWrite(stripe, st.Unit, within, pj, degraded); err != nil {
+			return err
+		}
 	}
-	b := sc.b[:len(delta)]
-	if &b[0] == &delta[0] {
-		b = sc.a[:len(delta)]
-	}
-	off := s.byteOff(ru, within)
-	if _, err := s.rebuildDst.ReadAt(b, off); err != nil {
-		return fmt.Errorf("store: write replacement read: %w", err)
-	}
-	s.codec.UpdateParity(rs-sc.p.DataShards, homeShard, b, delta)
-	if _, err := s.rebuildDst.WriteAt(b, off); err != nil {
-		return fmt.Errorf("store: write replacement: %w", err)
-	}
-	s.noteIO(ru.Disk, true, true, len(b))
 	return nil
 }
 
@@ -1043,8 +864,7 @@ func (s *Store) writeStripeLocked(sc *scratch, stripe int, units []layout.Unit, 
 			code.MulAdd(pj, data(i), s.codec.Coef(j, i))
 		}
 	}
-	fs := s.fails.Load()
-	redirect := s.rebuildDst != nil && s.rebuilt[stripe]
+	fs := s.failsFor(stripe)
 	idx := 0
 	for _, u := range units {
 		var payload []byte
@@ -1054,93 +874,82 @@ func (s *Store) writeStripeLocked(sc *scratch, stripe int, units []layout.Unit, 
 			payload = data(idx)
 			idx++
 		}
-		switch {
-		case !fs.has(u.Disk):
-			if _, err := s.disks[u.Disk].WriteAt(payload, s.byteOff(u, 0)); err != nil {
-				return fmt.Errorf("store: full-stripe write disk %d: %w", u.Disk, err)
-			}
-			s.noteIO(u.Disk, true, false, len(payload))
-		case redirect && u.Disk == s.rebuildDisk:
-			if _, err := s.rebuildDst.WriteAt(payload, s.byteOff(u, 0)); err != nil {
-				return fmt.Errorf("store: full-stripe write replacement: %w", err)
-			}
-			s.noteIO(u.Disk, true, true, len(payload))
+		// A unit on a failed disk is skipped: Rebuild reconstructs it
+		// from the survivors just written.
+		if fs.has(u.Disk) {
+			continue
 		}
-		// A not-yet-rebuilt unit on a failed disk is simply skipped:
-		// Rebuild reconstructs it from the survivors just written.
+		if err := s.diskWrite(stripe, u, 0, payload, false); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // Rebuild reconstructs the lowest-numbered failed disk's bytes onto
 // replacement, stripe by stripe under the per-stripe locks, while
-// foreground reads and writes continue degraded; when every stripe is
-// copied, the replacement atomically takes that disk's slot and the disk
-// leaves the failed set. With several disks down (multi-parity codes),
-// each Rebuild call reconstructs one disk — call it once per failure.
-// The replaced backend is not closed; the caller owns it.
+// foreground reads and writes continue; when every stripe is copied,
+// the replacement atomically takes that disk's slot and the disk leaves
+// the failed set. With several disks down (multi-parity codes), each
+// Rebuild call reconstructs one disk — call it once per failure. The
+// replaced backend is not closed; the caller owns it.
 func (s *Store) Rebuild(replacement Backend) error {
-	s.admin.Lock()
-	if s.rebuilding.Load() {
-		s.admin.Unlock()
-		return fmt.Errorf("store: Rebuild: already in progress")
-	}
-	need := int64(s.mapper.DiskUnits()) * int64(s.unitSize)
-	if replacement == nil || replacement.Size() < need {
-		s.admin.Unlock()
-		return fmt.Errorf("store: Rebuild: replacement smaller than %d bytes", need)
-	}
-	s.lockAll()
-	fs := s.fails.Load()
-	target := fs.first()
-	if target < 0 {
-		s.unlockAll()
-		s.admin.Unlock()
-		return fmt.Errorf("store: Rebuild: no failed disk")
-	}
-	clear(s.rebuilt)
-	s.rebuiltStripes.Store(0)
-	s.rebuildDst = replacement
-	s.rebuildDisk = target
-	s.rebuilding.Store(true)
-	s.unlockAll()
-	s.admin.Unlock()
-
-	finish := func(swap bool) {
-		s.admin.Lock()
-		s.lockAll()
-		if swap {
-			s.disks[target] = replacement
-			s.fails.Store(s.fails.Load().without(target))
-		}
-		s.rebuildDst = nil
-		s.rebuildDisk = -1
-		clear(s.rebuilt)
-		s.rebuiltStripes.Store(0)
-		s.rebuilding.Store(false)
-		s.unlockAll()
-		s.admin.Unlock()
-	}
-
 	sc := s.pool.Get().(*scratch)
 	defer s.pool.Put(sc)
-	rb, err := sc.pln.RebuildM(target, fs.disks)
+	rb, err := s.beginRebuild(sc, replacement, -1)
 	if err != nil {
-		finish(false)
 		return err
 	}
 	for i := range rb.Plans {
 		if err := s.rebuildStripe(sc, &rb.Plans[i]); err != nil {
-			finish(false)
+			s.finishRebuild(false)
 			return err
 		}
 	}
-	finish(true)
+	s.finishRebuild(true)
 	return nil
 }
 
+// beginRebuild starts rebuilding target (the lowest failed disk when
+// target < 0) onto replacement and returns the per-stripe schedule to
+// feed rebuildStripe. Until finishRebuild, each stripe sees target as
+// failed until it has been copied, and as the live replacement after.
+func (s *Store) beginRebuild(sc *scratch, replacement Backend, target int) (*plan.Rebuild, error) {
+	s.admin.Lock()
+	defer s.admin.Unlock()
+	if s.rebuilding.Load() {
+		return nil, fmt.Errorf("store: Rebuild: already in progress")
+	}
+	need := int64(s.mapper.DiskUnits()) * int64(s.unitSize)
+	if replacement == nil || replacement.Size() < need {
+		return nil, fmt.Errorf("store: Rebuild: replacement smaller than %d bytes", need)
+	}
+	// fails changes only under the admin lock, so it is stable here.
+	fs := s.fails.Load()
+	if target < 0 {
+		target = fs.first()
+	}
+	if target < 0 {
+		return nil, fmt.Errorf("store: Rebuild: no failed disk")
+	}
+	rb, err := sc.pln.RebuildM(target, fs.disks)
+	if err != nil {
+		return nil, err
+	}
+	s.lockAll()
+	defer s.unlockAll()
+	clear(s.rebuilt)
+	s.rebuiltStripes.Store(0)
+	s.rebuildDst = replacement
+	s.rebuildDisk = target
+	s.copiedFails = fs.without(target)
+	s.rebuilding.Store(true)
+	return rb, nil
+}
+
 // rebuildStripe reconstructs one stripe's lost unit onto the replacement
-// under the stripe's write lock.
+// under the stripe's write lock, after which the stripe serves the
+// replacement as a live disk.
 func (s *Store) rebuildStripe(sc *scratch, pl *plan.Plan) error {
 	lk := s.lockFor(pl.Stripe)
 	lk.Lock()
@@ -1156,11 +965,10 @@ func (s *Store) rebuildStripe(sc *scratch, pl *plan.Plan) error {
 		if w == 0 {
 			continue
 		}
-		if _, err := s.disks[st.Disk].ReadAt(a, s.byteOff(st.Unit, 0)); err != nil {
-			return fmt.Errorf("store: rebuild read disk %d: %w", st.Disk, err)
+		if err := s.diskRead(pl.Stripe, st.Unit, 0, a, true); err != nil {
+			return err
 		}
 		code.MulAdd(b, a, w)
-		s.noteIO(st.Disk, false, true, len(a))
 	}
 	if _, err := s.rebuildDst.WriteAt(b, s.byteOff(pl.Target, 0)); err != nil {
 		return fmt.Errorf("store: rebuild write replacement: %w", err)
@@ -1169,6 +977,26 @@ func (s *Store) rebuildStripe(sc *scratch, pl *plan.Plan) error {
 	s.rebuilt[pl.Stripe] = true
 	s.rebuiltStripes.Add(1)
 	return nil
+}
+
+// finishRebuild ends the rebuild beginRebuild started. With swap, the
+// replacement takes the rebuilt disk's slot and the disk leaves the
+// failed set; without, the copied stripes are abandoned.
+func (s *Store) finishRebuild(swap bool) {
+	s.admin.Lock()
+	defer s.admin.Unlock()
+	s.lockAll()
+	defer s.unlockAll()
+	if swap {
+		s.disks[s.rebuildDisk] = s.rebuildDst
+		s.fails.Store(s.copiedFails)
+	}
+	s.rebuildDst = nil
+	s.rebuildDisk = -1
+	s.copiedFails = nil
+	clear(s.rebuilt)
+	s.rebuiltStripes.Store(0)
+	s.rebuilding.Store(false)
 }
 
 // VerifyParity checks every stripe's parity invariant against the stored
@@ -1195,7 +1023,7 @@ func (s *Store) verifyStripe(sc *scratch, stripe int) error {
 	if err != nil {
 		return err
 	}
-	fs := s.fails.Load()
+	fs := s.failsFor(stripe)
 	for _, u := range units {
 		if fs.has(u.Disk) {
 			return nil
@@ -1211,7 +1039,7 @@ func (s *Store) verifyStripe(sc *scratch, stripe int) error {
 		if sh >= k {
 			continue
 		}
-		if _, err := s.disks[u.Disk].ReadAt(a, s.byteOff(u, 0)); err != nil {
+		if _, err := s.backend(stripe, u.Disk).ReadAt(a, s.byteOff(u, 0)); err != nil {
 			return fmt.Errorf("store: verify read disk %d: %w", u.Disk, err)
 		}
 		for j := 0; j < s.pm; j++ {
@@ -1223,7 +1051,7 @@ func (s *Store) verifyStripe(sc *scratch, stripe int) error {
 		if sh < k {
 			continue
 		}
-		if _, err := s.disks[u.Disk].ReadAt(a, s.byteOff(u, 0)); err != nil {
+		if _, err := s.backend(stripe, u.Disk).ReadAt(a, s.byteOff(u, 0)); err != nil {
 			return fmt.Errorf("store: verify read disk %d: %w", u.Disk, err)
 		}
 		if !bytes.Equal(a, sc.par[sh-k][:s.unitSize]) {

@@ -345,9 +345,9 @@ func cmdBench(args []string) error {
 		return err
 	}
 	if st.Frontend.Batches > 0 {
-		fmt.Printf("server: %d batches, mean size %.1f (%d flush-on-full, %d flush-on-deadline)\n",
+		fmt.Printf("server: %d batches, mean size %.1f (%d flush-on-full, %d flush-on-deadline, %d immediate)\n",
 			st.Frontend.Batches, float64(st.Frontend.BatchedOps)/float64(st.Frontend.Batches),
-			st.Frontend.FlushFull, st.Frontend.FlushDeadline)
+			st.Frontend.FlushFull, st.Frontend.FlushDeadline, st.Frontend.FlushImmediate)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -73,6 +74,67 @@ func TestClusterProperty(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestClusterSpanGroups drives concurrent spans, aligned to whole shard
+// units, through two shards whose frontends hold unit ops for 10 s. Every
+// shard piece travels as a wire stream and reaches its frontend as span
+// groups, which dispatch at once, so no span may wait for the deadline.
+// Each worker checks its own region byte for byte.
+func TestClusterSpanGroups(t *testing.T) {
+	const unitBytes = 8 * shardStoreUnit // 8 array units: every piece streams
+	const deadline = 10 * time.Second
+	tc := startCluster(t, unitBytes, []int64{64, 64}, cluster.ByCapacity, serve.Config{FlushDelay: deadline, QueueDepth: 64})
+	c := tc.open(t, cluster.Options{})
+
+	const workers = 4
+	units := c.Size() / unitBytes / workers // shard units per worker region
+	start := time.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			base := int64(w) * units * unitBytes
+			mirror := make([]byte, units*unitBytes)
+			buf := make([]byte, len(mirror))
+			for op := 0; op < 40; op++ {
+				first := rng.Int63n(units)
+				off := first * unitBytes
+				p := buf[:(1+rng.Int63n(units-first))*unitBytes]
+				if op%2 == 0 {
+					rng.Read(p)
+					if n, err := c.WriteAt(p, base+off); err != nil || n != len(p) {
+						t.Errorf("worker %d op %d: WriteAt(%d B @ %d) = %d, %v", w, op, len(p), base+off, n, err)
+						return
+					}
+					copy(mirror[off:], p)
+					continue
+				}
+				if n, err := c.ReadAt(p, base+off); err != nil || n != len(p) {
+					t.Errorf("worker %d op %d: ReadAt(%d B @ %d) = %d, %v", w, op, len(p), base+off, n, err)
+					return
+				}
+				if !bytes.Equal(p, mirror[off:off+int64(len(p))]) {
+					t.Errorf("worker %d op %d: read [%d,+%d) diverges from mirror", w, op, base+off, len(p))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if el := time.Since(start); el > deadline/2 {
+		t.Errorf("aligned span traffic took %v; some piece waited for the %v flush deadline", el, deadline)
+	}
+	for s, ts := range tc.shards {
+		if st := ts.front.Stats(); st.FlushDeadline != 0 {
+			t.Errorf("shard %d: %d deadline flushes, want 0 (stats %+v)", s, st.FlushDeadline, st)
+		}
+		if err := ts.store.VerifyParity(); err != nil {
+			t.Errorf("shard %d parity: %v", s, err)
+		}
 	}
 }
 

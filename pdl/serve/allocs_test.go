@@ -1,11 +1,11 @@
 //go:build !race
 
 // The allocs regression gate (CI) for the serving front end: the
-// steady-state synchronous request path (Do/Read/Write against a warm
-// frontend) is allocation-bounded at zero per request — requests, batch
-// slices, and executor scratch all recycle through pools. A regression
-// fails `go test`. Excluded under -race: sync.Pool randomly drops items
-// under the race detector.
+// steady-state synchronous request path (Do/Read/Write and the span
+// group submission against a warm frontend) is allocation-bounded at
+// zero per request — requests, batch slices, and executor scratch all
+// recycle through pools. A regression fails `go test`. Excluded under
+// -race: sync.Pool randomly drops items under the race detector.
 
 package serve_test
 
@@ -47,6 +47,27 @@ func TestServeHotPathAllocs(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("serve Read allocates %v/op, want 0", n)
+	}
+
+	// The span-group path the Server takes for stream chunks: one pooled
+	// request carries the chunk, and its units expand into the worker's
+	// reused vec scratch.
+	const groupUnits = 8
+	chunk := make([]byte, groupUnits*unitSize)
+	for w := 0; w < 64; w++ {
+		if err := f.DoGroup(ctx, serve.Op{Kind: serve.Write, Logical: w % (capacity - groupUnits), Buf: chunk}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, kind := range []serve.Kind{serve.Write, serve.Read} {
+		if n := testing.AllocsPerRun(200, func() {
+			if err := f.DoGroup(ctx, serve.Op{Kind: kind, Logical: i % (capacity - groupUnits), Buf: chunk}); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); n != 0 {
+			t.Errorf("serve group (kind %d) allocates %v/op, want 0", kind, n)
+		}
 	}
 }
 

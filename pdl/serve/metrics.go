@@ -10,22 +10,22 @@ func (f *Frontend) RegisterMetrics(r *obs.Registry) {
 	fg := obs.Label{Key: "class", Value: "foreground"}
 	bg := obs.Label{Key: "class", Value: "background"}
 	r.CounterFunc("pdl_serve_submitted_total",
-		"Requests admitted to the frontend queues.",
+		"Units admitted to the frontend queues.",
 		func() int64 { return f.submitted.Load() - f.background.Load() }, fg)
 	r.CounterFunc("pdl_serve_submitted_total",
-		"Requests admitted to the frontend queues.",
+		"Units admitted to the frontend queues.",
 		f.background.Load, bg)
 	r.CounterFunc("pdl_serve_completed_total",
-		"Requests completed (both classes).",
+		"Units completed (both classes).",
 		f.completed.Load)
 	r.CounterFunc("pdl_serve_rejected_total",
-		"Submissions refused at admission (validation, cancellation, closed).",
+		"Units refused at admission (validation, cancellation, closed).",
 		f.rejected.Load)
 	r.CounterFunc("pdl_serve_batches_total",
 		"Batches dispatched to the store.",
 		f.batches.Load)
 	r.CounterFunc("pdl_serve_batched_ops_total",
-		"Requests carried by dispatched batches (ratio to batches is the coalescing factor).",
+		"Units carried by dispatched batches (ratio to batches is the coalescing factor).",
 		f.batchedOps.Load)
 	r.CounterFunc("pdl_serve_flush_total",
 		"Batch dispatches by flush reason.",
@@ -33,11 +33,14 @@ func (f *Frontend) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("pdl_serve_flush_total",
 		"Batch dispatches by flush reason.",
 		f.flushDL.Load, obs.Label{Key: "reason", Value: "deadline"})
+	r.CounterFunc("pdl_serve_flush_total",
+		"Batch dispatches by flush reason.",
+		f.flushNow.Load, obs.Label{Key: "reason", Value: "immediate"})
 	r.GaugeFunc("pdl_serve_queue_depth",
-		"Requests waiting in the class's submission queue.",
+		"Entries (unit ops or span groups) waiting in the class's submission queue.",
 		func() int64 { return int64(len(f.fg)) }, fg)
 	r.GaugeFunc("pdl_serve_queue_depth",
-		"Requests waiting in the class's submission queue.",
+		"Entries (unit ops or span groups) waiting in the class's submission queue.",
 		func() int64 { return int64(len(f.bg)) }, bg)
 	r.RegisterHist("pdl_serve_latency_seconds",
 		"End-to-end request latency, admission to completion.",

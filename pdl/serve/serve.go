@@ -9,11 +9,14 @@
 // expires (flush-on-deadline), then execute as one store.ReadVec or
 // store.WriteVec pass — one lock acquisition per touched stripe, and,
 // when a stripe's worth of small writes coalesces, a single Condition 5
-// full-stripe write instead of N read-modify-writes. Admission applies
-// backpressure (a full queue blocks, honoring context cancellation) and
-// two priority classes: Foreground requests always dispatch before
-// Background ones, so rebuild or scrub traffic is throttled while
-// clients are active.
+// full-stripe write instead of N read-modify-writes. The Server submits
+// each span chunk as one group entry whose units share a pass, so a
+// span's whole stripes always promote; a batch holding a group
+// dispatches at once instead of waiting for the deadline. Admission
+// applies backpressure (a full queue blocks, honoring context
+// cancellation) and two priority classes: Foreground requests always
+// dispatch before Background ones, so rebuild or scrub traffic is
+// throttled while clients are active.
 package serve
 
 import (
@@ -77,17 +80,23 @@ type Op struct {
 // Config tunes a Frontend. The zero value selects the defaults.
 type Config struct {
 	// QueueDepth bounds each class's submission queue and caps the batch
-	// size: at most QueueDepth requests coalesce into one store pass, and
-	// a class with QueueDepth requests waiting blocks further admissions
-	// (backpressure). Default 64.
+	// size, both counted in queue entries: at most QueueDepth entries
+	// coalesce into one store pass, and a class with QueueDepth entries
+	// waiting blocks further admissions (backpressure). A unit op is one
+	// entry; so is a span chunk the Server submits as a group (up to
+	// wire.MaxChunk bytes of consecutive units), so a pass carries at
+	// most QueueDepth unit ops or QueueDepth chunks' units. Default 64.
 	QueueDepth int
 
-	// FlushDelay is how long an open batch waits for more requests before
-	// flushing (flush-on-deadline). Negative means flush as soon as the
-	// queues are momentarily empty — lowest latency, smallest batches.
-	// Zero selects the default, 100µs. (Sub-millisecond deadlines are
-	// limited by timer wakeup granularity; sustained load flushes on full
-	// instead and never waits for the timer.)
+	// FlushDelay is how long an open batch of unit ops waits for more
+	// requests before flushing (flush-on-deadline). Negative means flush
+	// as soon as the queues are momentarily empty — lowest latency,
+	// smallest batches. Zero selects the default, 100µs. On an idle host
+	// the default waits about 1.1ms, not 100µs: Go's netpoller sleeps in
+	// whole milliseconds, so a sub-millisecond timer fires at the next
+	// tick. Sustained load flushes on full instead and never waits for
+	// the timer. Span chunks never wait for it either: a batch holding a
+	// group dispatches at once with whatever is already queued.
 	FlushDelay time.Duration
 
 	// Workers is the number of executor goroutines draining batches;
@@ -119,24 +128,29 @@ func (c *Config) withDefaults() Config {
 
 // Stats is a point-in-time snapshot of a Frontend's counters.
 type Stats struct {
-	// Submitted counts admitted requests; Background of them arrived on
-	// the background queue.
+	// Submitted counts admitted units; Background of them arrived on the
+	// background queue. Every unit counter (Submitted, Background,
+	// Completed, Rejected, BatchedOps) counts each unit of a span group,
+	// so a group of n units weighs the same as n unit ops.
 	Submitted, Background int64
 
-	// Completed counts finished requests; Rejected counts submissions
-	// refused at admission (validation, cancellation, or ErrClosed).
+	// Completed counts finished units; Rejected counts units refused at
+	// admission (validation, cancellation, or ErrClosed).
 	Completed, Rejected int64
 
-	// Batches counts dispatched batches; BatchedOps their total size, so
-	// BatchedOps/Batches is the mean coalescing factor.
+	// Batches counts dispatched batches; BatchedOps the units they
+	// carried, so BatchedOps/Batches is the mean coalescing factor.
 	Batches, BatchedOps int64
 
-	// FlushFull and FlushDeadline count why batches dispatched: the batch
-	// reached QueueDepth, or FlushDelay expired first.
-	FlushFull, FlushDeadline int64
+	// FlushFull, FlushDeadline and FlushImmediate count why batches
+	// dispatched: the batch reached QueueDepth entries; FlushDelay
+	// expired first; or the batch took only what was already queued and
+	// never waited, because it held a span group, FlushDelay is negative,
+	// or the frontend was closing.
+	FlushFull, FlushDeadline, FlushImmediate int64
 
 	// FgQueue and BgQueue are the instantaneous submission-queue depths
-	// per class.
+	// per class, in entries (a span group is one entry).
 	FgQueue, BgQueue int
 
 	// ForegroundLatency and BackgroundLatency summarize end-to-end
@@ -144,9 +158,13 @@ type Stats struct {
 	ForegroundLatency, BackgroundLatency obs.Summary
 }
 
-// request is the pooled internal form of an Op.
+// request is the pooled internal form of an Op, or of a span group: op
+// then addresses n consecutive units from op.Logical, op.Buf holding
+// them back to back.
 type request struct {
 	op    Op
+	n     int         // units carried: 1 for a unit op
+	group bool        // a span group, dispatched without waiting
 	start time.Time   // admission time, for end-to-end latency
 	cb    func(error) // async completion; nil for sync waiters
 	done  chan error  // sync completion, capacity 1, reused with the request
@@ -173,7 +191,8 @@ type Frontend struct {
 	batchPool sync.Pool
 
 	submitted, background, completed, rejected atomic.Int64
-	batches, batchedOps, flushFull, flushDL    atomic.Int64
+	batches, batchedOps                        atomic.Int64
+	flushFull, flushDL, flushNow               atomic.Int64
 
 	// latHist records end-to-end request latency (admission to
 	// completion), indexed by Class.
@@ -230,6 +249,7 @@ func (f *Frontend) Stats() Stats {
 		BatchedOps:        f.batchedOps.Load(),
 		FlushFull:         f.flushFull.Load(),
 		FlushDeadline:     f.flushDL.Load(),
+		FlushImmediate:    f.flushNow.Load(),
 		FgQueue:           len(f.fg),
 		BgQueue:           len(f.bg),
 		ForegroundLatency: f.latHist[Foreground].Summary(),
@@ -238,10 +258,11 @@ func (f *Frontend) Stats() Stats {
 }
 
 // RecordTrace starts recording every admitted request into tw in
-// admission order; nil stops recording. The caller owns the writer and
-// its Flush. Recording captures the live request stream a deployment
-// actually served, so a scenario can replay it later (with original
-// timing or a speed multiplier) against any target.
+// admission order, a span group as one entry per unit in logical order;
+// nil stops recording. The caller owns the writer and its Flush.
+// Recording captures the live request stream a deployment actually
+// served, so a scenario can replay it later (with original timing or a
+// speed multiplier) against any target.
 func (f *Frontend) RecordTrace(tw *sim.TraceWriter) {
 	f.trace.Store(tw)
 }
@@ -267,13 +288,7 @@ func (f *Frontend) Close() error {
 // the wait for admission only — once admitted, the op runs to completion
 // (its buffer is in flight and must not be reused earlier).
 func (f *Frontend) Do(ctx context.Context, op Op) error {
-	r, err := f.submit(ctx, op, nil)
-	if err != nil {
-		return err
-	}
-	err = <-r.done
-	f.reqPool.Put(r)
-	return err
+	return f.do(ctx, op, false)
 }
 
 // Go submits op asynchronously: complete is invoked exactly once (on an
@@ -283,7 +298,33 @@ func (f *Frontend) Go(ctx context.Context, op Op, complete func(error)) error {
 	if complete == nil {
 		return errors.New("serve: Go: nil completion")
 	}
-	_, err := f.submit(ctx, op, complete)
+	_, err := f.submit(ctx, op, false, complete)
+	return err
+}
+
+// doGroup submits a span group and blocks until it completes: op.Buf
+// holds len(op.Buf)/UnitSize consecutive units from op.Logical. The
+// group is one queue entry, its units share one store pass (so the
+// whole stripes it covers promote to full-stripe writes), and the batch
+// that carries it dispatches at once. Otherwise it behaves like Do.
+func (f *Frontend) doGroup(ctx context.Context, op Op) error {
+	return f.do(ctx, op, true)
+}
+
+// goGroup is doGroup's asynchronous form, completing like Go: complete
+// runs once with the error of the pass that carried the group.
+func (f *Frontend) goGroup(ctx context.Context, op Op, complete func(error)) error {
+	_, err := f.submit(ctx, op, true, complete)
+	return err
+}
+
+func (f *Frontend) do(ctx context.Context, op Op, group bool) error {
+	r, err := f.submit(ctx, op, group, nil)
+	if err != nil {
+		return err
+	}
+	err = <-r.done
+	f.reqPool.Put(r)
 	return err
 }
 
@@ -297,27 +338,19 @@ func (f *Frontend) Write(ctx context.Context, logical int, src []byte) error {
 	return f.Do(ctx, Op{Kind: Write, Logical: logical, Buf: src})
 }
 
-// submit validates and enqueues op, so batch execution errors are real
-// I/O errors, never one request's bad arguments.
-func (f *Frontend) submit(ctx context.Context, op Op, cb func(error)) (*request, error) {
-	if op.Kind != Read && op.Kind != Write {
-		f.rejected.Add(1)
-		return nil, fmt.Errorf("serve: bad op kind %d", op.Kind)
-	}
-	if op.Class != Foreground && op.Class != Background {
-		f.rejected.Add(1)
-		return nil, fmt.Errorf("serve: bad class %d", op.Class)
-	}
-	if op.Logical < 0 || op.Logical >= f.s.Capacity() {
-		f.rejected.Add(1)
-		return nil, fmt.Errorf("serve: logical %d outside [0,%d)", op.Logical, f.s.Capacity())
-	}
-	if len(op.Buf) != f.s.UnitSize() {
-		f.rejected.Add(1)
-		return nil, fmt.Errorf("serve: buf is %d bytes, want unit size %d", len(op.Buf), f.s.UnitSize())
+// submit validates and enqueues op (a span group when group is set), so
+// batch execution errors are real I/O errors, never one request's bad
+// arguments.
+func (f *Frontend) submit(ctx context.Context, op Op, group bool, cb func(error)) (*request, error) {
+	n, err := f.validate(op, group)
+	if err != nil {
+		f.rejected.Add(int64(max(n, 1)))
+		return nil, err
 	}
 	r := f.reqPool.Get().(*request)
 	r.op = op
+	r.n = n
+	r.group = group
 	r.start = time.Now()
 	r.cb = cb
 	q := f.fg
@@ -333,7 +366,7 @@ func (f *Frontend) submit(ctx context.Context, op Op, cb func(error)) (*request,
 	if f.closed {
 		f.closeMu.RUnlock()
 		f.reqPool.Put(r)
-		f.rejected.Add(1)
+		f.rejected.Add(int64(n))
 		return nil, ErrClosed
 	}
 	select {
@@ -342,12 +375,12 @@ func (f *Frontend) submit(ctx context.Context, op Op, cb func(error)) (*request,
 	case <-ctx.Done():
 		f.closeMu.RUnlock()
 		f.reqPool.Put(r)
-		f.rejected.Add(1)
+		f.rejected.Add(int64(n))
 		return nil, ctx.Err()
 	}
-	f.submitted.Add(1)
+	f.submitted.Add(int64(n))
 	if op.Class == Background {
-		f.background.Add(1)
+		f.background.Add(int64(n))
 	}
 	if tw := f.trace.Load(); tw != nil {
 		kind := sim.Read
@@ -356,14 +389,46 @@ func (f *Frontend) submit(ctx context.Context, op Op, cb func(error)) (*request,
 		}
 		// Best effort: a sticky writer error surfaces at Flush; dropping
 		// a trace op must never fail the request it shadows.
-		_ = tw.Record(kind, op.Logical, op.Class == Background, r.start)
+		for i := 0; i < n; i++ {
+			_ = tw.Record(kind, op.Logical+i, op.Class == Background, r.start)
+		}
 	}
 	return r, nil
 }
 
+// validate checks op and returns the units it carries: 1 for a unit op,
+// len(op.Buf)/UnitSize for a group (0 when that is not a whole count).
+func (f *Frontend) validate(op Op, group bool) (int, error) {
+	unit, capa := f.s.UnitSize(), f.s.Capacity()
+	n := 1
+	if group {
+		n = len(op.Buf) / unit
+		if n == 0 || len(op.Buf)%unit != 0 {
+			return 0, fmt.Errorf("serve: group buf is %d bytes, want a positive multiple of unit size %d", len(op.Buf), unit)
+		}
+	}
+	if op.Kind != Read && op.Kind != Write {
+		return n, fmt.Errorf("serve: bad op kind %d", op.Kind)
+	}
+	if op.Class != Foreground && op.Class != Background {
+		return n, fmt.Errorf("serve: bad class %d", op.Class)
+	}
+	if op.Logical < 0 || op.Logical > capa-n {
+		if group {
+			return n, fmt.Errorf("serve: group [%d,+%d) outside [0,%d)", op.Logical, n, capa)
+		}
+		return n, fmt.Errorf("serve: logical %d outside [0,%d)", op.Logical, capa)
+	}
+	if len(op.Buf) != n*unit {
+		return n, fmt.Errorf("serve: buf is %d bytes, want unit size %d", len(op.Buf), unit)
+	}
+	return n, nil
+}
+
 // batcher collects submissions into batches and hands them to the
 // workers: flush-on-full at QueueDepth, flush-on-deadline at FlushDelay,
-// foreground strictly before background.
+// immediate flush once a group is aboard, foreground strictly before
+// background.
 func (f *Frontend) batcher() {
 	defer f.wg.Done()
 	defer close(f.exec)
@@ -378,8 +443,12 @@ func (f *Frontend) batcher() {
 		batch := append((*bp)[:0], r)
 		batch = f.fill(batch, timer)
 		*bp = batch
+		units := 0
+		for _, r := range batch {
+			units += r.n
+		}
 		f.batches.Add(1)
-		f.batchedOps.Add(int64(len(batch)))
+		f.batchedOps.Add(int64(units))
 		f.exec <- bp
 	}
 }
@@ -420,28 +489,32 @@ func (f *Frontend) takeWaiting() *request {
 }
 
 // fill grows batch until full or the flush deadline, foreground first.
+// A group aboard ends the wait: the batch then takes only what is
+// already queued.
 func (f *Frontend) fill(batch []*request, timer *time.Timer) []*request {
-	if f.cfg.FlushDelay < 0 {
-		// Immediate mode: take whatever is already waiting, then flush.
+	if f.cfg.FlushDelay < 0 || batch[0].group {
+		// Take whatever is already waiting, then flush.
 		return f.finishFill(batch)
 	}
 	timer.Reset(f.cfg.FlushDelay)
 	for len(batch) < f.cfg.QueueDepth {
+		var r *request
 		select {
-		case r := <-f.fg:
-			batch = append(batch, r)
-			continue
+		case r = <-f.fg:
 		default:
+			select {
+			case r = <-f.fg:
+			case r = <-f.bg:
+			case <-timer.C:
+				f.flushDL.Add(1)
+				return batch
+			case <-f.quit:
+				stopTimer(timer)
+				return f.finishFill(batch)
+			}
 		}
-		select {
-		case r := <-f.fg:
-			batch = append(batch, r)
-		case r := <-f.bg:
-			batch = append(batch, r)
-		case <-timer.C:
-			f.flushDL.Add(1)
-			return batch
-		case <-f.quit:
+		batch = append(batch, r)
+		if r.group {
 			stopTimer(timer)
 			return f.finishFill(batch)
 		}
@@ -452,13 +525,13 @@ func (f *Frontend) fill(batch []*request, timer *time.Timer) []*request {
 }
 
 // finishFill tops the batch up with already-waiting requests and
-// accounts the flush reason: full if the batch hit QueueDepth, deadline
-// (an empty-queue flush) otherwise.
+// accounts the flush reason: full if the batch hit QueueDepth,
+// immediate (it stopped at a momentarily empty queue) otherwise.
 func (f *Frontend) finishFill(batch []*request) []*request {
 	for len(batch) < f.cfg.QueueDepth {
 		r := f.takeWaiting()
 		if r == nil {
-			f.flushDL.Add(1)
+			f.flushNow.Add(1)
 			return batch
 		}
 		batch = append(batch, r)
@@ -493,18 +566,20 @@ func (f *Frontend) worker() {
 }
 
 // run executes one batch: writes as one WriteVec pass (coalescing plus
-// full-stripe promotion), then reads as one ReadVec pass.
+// full-stripe promotion), then reads as one ReadVec pass. A group
+// contributes all its units to its kind's pass.
 func (f *Frontend) run(ex *execState, batch []*request) {
 	ex.rops, ex.wops = ex.rops[:0], ex.wops[:0]
 	ex.rreqs, ex.wreqs = ex.rreqs[:0], ex.wreqs[:0]
+	unit := f.s.UnitSize()
 	for _, r := range batch {
-		vop := store.VecOp{Logical: r.op.Logical, Buf: r.op.Buf}
+		ops, reqs := &ex.rops, &ex.rreqs
 		if r.op.Kind == Write {
-			ex.wops = append(ex.wops, vop)
-			ex.wreqs = append(ex.wreqs, r)
-		} else {
-			ex.rops = append(ex.rops, vop)
-			ex.rreqs = append(ex.rreqs, r)
+			ops, reqs = &ex.wops, &ex.wreqs
+		}
+		*reqs = append(*reqs, r)
+		for i := 0; i < r.n; i++ {
+			*ops = append(*ops, store.VecOp{Logical: r.op.Logical + i, Buf: r.op.Buf[i*unit : (i+1)*unit]})
 		}
 	}
 	if len(ex.wops) > 0 {
@@ -522,8 +597,13 @@ func (f *Frontend) run(ex *execState, batch []*request) {
 // pass (the store's error names the failing disk operation).
 func (f *Frontend) finish(reqs []*request, err error) {
 	for _, r := range reqs {
-		f.completed.Add(1)
-		f.latHist[r.op.Class].Record(time.Since(r.start))
+		f.completed.Add(int64(r.n))
+		// Each unit of a group records the group's latency, so the
+		// histogram counts units like Completed does.
+		lat := time.Since(r.start).Nanoseconds()
+		for i := 0; i < r.n; i++ {
+			f.latHist[r.op.Class].RecordNanos(lat)
+		}
 		if cb := r.cb; cb != nil {
 			r.cb = nil
 			f.reqPool.Put(r)

@@ -73,12 +73,14 @@ const (
 // Server carries the wire protocol over TCP connections, submitting
 // client requests to a Frontend. Requests from every connection share
 // the frontend's queues, so independent clients coalesce into the same
-// batches.
+// batches. Unit ops go in one by one; each chunk of a span stream goes
+// in as one group, which completes once and never waits for the flush
+// deadline.
 //
 // The data path is zero-copy on both sides of the socket: request
 // payloads are read into reference-counted pooled buffers that flow
 // into store.WriteVec without an intermediate copy (the buffer recycles
-// only when every unit op that aliases it has completed), and response
+// only when every submission that aliases it has completed), and response
 // payloads go out as header+payload iovec pairs via net.Buffers
 // (writev), recycling only after the gather write lands.
 type Server struct {
@@ -245,9 +247,9 @@ func (s *Server) Close() error {
 }
 
 // frameBuf is a reference-counted pooled request payload buffer. The
-// reader holds one reference while dispatching; each unit write op that
-// aliases the payload holds another until its completion runs, so the
-// buffer cannot recycle while the store still reads from it.
+// reader holds one reference while dispatching; each write submission
+// that aliases the payload holds another until its completion runs, so
+// the buffer cannot recycle while the store still reads from it.
 type frameBuf struct {
 	pool *sync.Pool
 	refs atomic.Int32
@@ -291,16 +293,16 @@ func (s *Server) getResp(id uint64, status uint8, payload []byte) *srvResp {
 	return r
 }
 
-// srvReq is one in-flight unit op's pooled completion state. cb is
-// prebuilt at pool time and forwards to complete, so submitting an op
-// allocates nothing.
+// srvReq is one in-flight submission's pooled completion state: a unit
+// op or a write stream's chunk. cb is prebuilt at pool time and forwards
+// to complete, so submitting allocates nothing.
 type srvReq struct {
 	s   *Server
 	st  *connState
 	id  uint64
 	fb  *frameBuf // write: payload alias reference, released on completion
 	buf *[]byte   // read: pooled unit buffer the store fills
-	ws  *wstream  // stream write: per-span state, nil for plain unit ops
+	ws  *wstream  // stream chunk: per-span state, nil for plain unit ops
 	cb  func(error)
 }
 
@@ -321,7 +323,7 @@ func (s *Server) putReq(sr *srvReq) {
 	s.reqPool.Put(sr)
 }
 
-// complete is every unit op's completion: respond (or account the
+// complete is every submission's completion: respond (or account the
 // stream), release the aliased buffers, recycle, and drop the pending
 // count last so the writer cannot close under a response in flight.
 func (sr *srvReq) complete(err error) {
@@ -329,7 +331,7 @@ func (sr *srvReq) complete(err error) {
 	switch {
 	case sr.ws != nil:
 		sr.fb.release()
-		sr.ws.unitDone(err)
+		sr.ws.chunkDone(err)
 	case sr.fb != nil:
 		sr.fb.release()
 		if err != nil {
@@ -373,7 +375,7 @@ func (st *connState) respondErr(id uint64, err error) {
 
 // wstream is one open write stream. The reader goroutine owns the
 // sequencing state (wire.WriteStream, seen, poisoned); outstanding
-// carries one token per in-flight unit op plus one reader token dropped
+// carries one token per in-flight chunk plus one reader token dropped
 // when the final chunk has been submitted — whoever drops it to zero
 // sends the single stream response.
 type wstream struct {
@@ -399,7 +401,7 @@ func (ws *wstream) fail(err error) {
 	ws.errMu.Unlock()
 }
 
-func (ws *wstream) unitDone(err error) {
+func (ws *wstream) chunkDone(err error) {
 	if err != nil {
 		ws.fail(err)
 	}
@@ -709,8 +711,8 @@ func (s *Server) dispatch(st *connState, req *wire.Request, fb *frameBuf) bool {
 }
 
 // writeChunk feeds one OpWriteChunk frame into its stream: validate the
-// sequencing, then submit each unit as a write op whose buffer aliases
-// the frame payload (fb holds one reference per unit until that unit's
+// sequencing, then submit the chunk as one write group whose buffer
+// aliases the frame payload (fb holds a reference until the group's
 // completion runs).
 func (s *Server) writeChunk(st *connState, ws *wstream, req *wire.Request, fb *frameBuf) bool {
 	unit := s.unit
@@ -744,21 +746,18 @@ func (s *Server) writeChunk(st *connState, ws *wstream, req *wire.Request, fb *f
 		}
 		return true
 	}
-	fb.retain(int32(k))
-	for i := 0; i < k; i++ {
-		sr := s.getReq(st, req.ID)
-		sr.fb = fb
-		sr.ws = ws
-		st.pending.Add(1)
-		ws.outstanding.Add(1)
-		buf := req.Payload[i*unit : (i+1)*unit]
-		if err := s.front.Go(s.ctx, Op{Kind: Write, Class: ws.class, Logical: int(req.Arg) + i, Buf: buf}, sr.cb); err != nil {
-			fb.release()
-			s.putReq(sr)
-			st.pending.Done()
-			ws.fail(err)
-			ws.drop()
-		}
+	fb.retain(1)
+	sr := s.getReq(st, req.ID)
+	sr.fb = fb
+	sr.ws = ws
+	st.pending.Add(1)
+	ws.outstanding.Add(1)
+	if err := s.front.goGroup(s.ctx, Op{Kind: Write, Class: ws.class, Logical: int(req.Arg), Buf: req.Payload}, sr.cb); err != nil {
+		fb.release()
+		s.putReq(sr)
+		st.pending.Done()
+		ws.fail(err)
+		ws.drop()
 	}
 	ws.seen += k
 	if ws.seen >= ws.Count {
@@ -771,9 +770,9 @@ func (s *Server) writeChunk(st *connState, ws *wstream, req *wire.Request, fb *f
 }
 
 // readSpan streams count units starting at start back as ordered
-// StatusChunk frames. Each chunk is a pooled buffer scatter-filled by
-// per-unit read ops through the frontend's batch path, handed to the
-// writer as one iovec, and recycled after its writev lands.
+// StatusChunk frames. Each chunk is a pooled buffer filled by one read
+// group through the frontend's batch path, handed to the writer as one
+// iovec, and recycled after its writev lands.
 func (s *Server) readSpan(st *connState, id uint64, class Class, start, count int) {
 	defer func() {
 		<-st.spanSem
@@ -785,30 +784,7 @@ func (s *Server) readSpan(st *connState, id uint64, class Class, start, count in
 	for done := 0; done < count; {
 		k := min(cu, count-done)
 		chunk := (*cbp)[:k*unit]
-		var wg sync.WaitGroup
-		var errMu sync.Mutex
-		var firstErr error
-		cb := func(err error) {
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-			wg.Done()
-		}
-		for i := 0; i < k; i++ {
-			wg.Add(1)
-			if err := s.front.Go(s.ctx, Op{Kind: Read, Class: class, Logical: start + done + i, Buf: chunk[i*unit : (i+1)*unit]}, cb); err != nil {
-				cb(err)
-			}
-		}
-		wg.Wait()
-		errMu.Lock()
-		err := firstErr
-		errMu.Unlock()
-		if err != nil {
+		if err := s.front.doGroup(s.ctx, Op{Kind: Read, Class: class, Logical: start + done, Buf: chunk}); err != nil {
 			s.chunkPool.Put(cbp)
 			st.respondErr(id, err)
 			return

@@ -12,8 +12,9 @@ import (
 	"repro/pdl/store"
 )
 
-// spanHarness starts a MemDisk-backed server and a client for span tests.
-func spanHarness(t *testing.T) *serve.Client {
+// spanHarness starts a MemDisk-backed server with frontend config cfg
+// and a client for span tests.
+func spanHarness(t *testing.T, cfg serve.Config) (*serve.Client, *serve.Frontend) {
 	t.Helper()
 	res, err := pdl.Build(13, 4)
 	if err != nil {
@@ -24,7 +25,7 @@ func spanHarness(t *testing.T) *serve.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	front := serve.New(s, serve.Config{QueueDepth: 32})
+	front := serve.New(s, cfg)
 	t.Cleanup(func() { front.Close() })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -38,14 +39,14 @@ func spanHarness(t *testing.T) *serve.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c
+	return c, front
 }
 
 // TestClientSpans drives the client-side striping path: random
 // ReadAt/WriteAt spans (unaligned heads and tails, multi-stripe middles)
 // over the wire against a flat mirror of the logical space.
 func TestClientSpans(t *testing.T) {
-	c := spanHarness(t)
+	c, _ := spanHarness(t, serve.Config{QueueDepth: 32})
 	unit := c.UnitSize()
 	size := c.Size()
 	mirror := make([]byte, size)

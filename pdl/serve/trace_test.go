@@ -10,9 +10,10 @@ import (
 )
 
 // TestFrontendRecordTrace attaches a trace recorder to a Frontend,
-// drives a mixed request stream through it, and asserts the decoded
-// trace reproduces that stream: kinds, classes, and addresses in
-// admission order, at the server's unit size.
+// drives a mixed request stream through it (unit ops, then span groups),
+// and asserts the decoded trace reproduces that stream: kinds, classes,
+// and addresses in admission order, a group unit by unit, at the
+// server's unit size.
 func TestFrontendRecordTrace(t *testing.T) {
 	const unitSize = 64
 	f := mustFrontend(t, 13, 4, 2, unitSize, serve.Config{FlushDelay: -1})
@@ -52,6 +53,17 @@ func TestFrontendRecordTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A span group records one entry per unit, in logical order.
+	span := make([]byte, 3*unitSize)
+	if err := f.DoGroup(ctx, serve.Op{Kind: serve.Write, Logical: 6, Buf: span}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.DoGroup(ctx, serve.Op{Kind: serve.Read, Class: serve.Background, Logical: 2, Buf: span[:2*unitSize]}); err != nil {
+		t.Fatal(err)
+	}
+	subs = append(subs,
+		sub{serve.Write, 6, serve.Foreground}, sub{serve.Write, 7, serve.Foreground}, sub{serve.Write, 8, serve.Foreground},
+		sub{serve.Read, 2, serve.Background}, sub{serve.Read, 3, serve.Background})
 
 	// Detach, then prove post-detach ops are not recorded.
 	f.RecordTrace(nil)
